@@ -23,14 +23,13 @@ import (
 // runServe implements `expdriver serve`: the long-running campaign daemon.
 // Submissions share one engine (and one persistent store), so concurrent
 // and repeated jobs deduplicate simulations exactly as -resume does for
-// one-shot runs.
+// one-shot runs, and their items share one lease queue.
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	storeDir := fs.String("store", ".campaign", "persistent result store directory (empty disables persistence)")
-	workers := fs.Int("workers", 0, "total concurrent simulations across all jobs (0 = NumCPU)")
-	jobWorkers := fs.Int("job-workers", 2, "concurrently executing campaigns")
-	maxQueue := fs.Int("max-queue", 256, "max jobs waiting for a job worker before submissions are rejected")
+	workers := fs.Int("workers", 0, "total concurrent simulations across all jobs (0 = NumCPU; ignored with -fleet)")
+	maxQueue := fs.Int("max-queue", 256, "max jobs admitted with no item started yet before submissions are rejected")
 	maxFinished := fs.Int("max-finished", 512, "retained finished jobs (oldest evicted beyond this; their results stay in the store)")
 	sampleInterval := fs.Int64("sample-interval", 0, "time-series window in cycles for the SSE event stream (0 = default 8192, rounded up to a power of two; negative disables sampling)")
 	eventBuffer := fs.Int("event-buffer", 0, "per-job event ring size for GET /v1/campaigns/{id}/events (0 = 1024)")
@@ -41,7 +40,7 @@ func runServe(args []string) int {
 	fs.Parse(args)
 
 	cfg := service.Config{
-		Workers: *workers, JobWorkers: *jobWorkers, MaxQueue: *maxQueue, MaxFinished: *maxFinished,
+		Workers: *workers, MaxQueue: *maxQueue, MaxFinished: *maxFinished,
 		SampleInterval: *sampleInterval, EventBuffer: *eventBuffer,
 	}
 	if *storeDir != "" {

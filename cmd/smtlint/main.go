@@ -8,7 +8,6 @@
 //	noalloc      //smtlint:noalloc functions must not allocate
 //	confighash   every Canonical()-hashed config field reaches the store key
 //	lockcheck    no blocking operation under a service mutex
-//	registryref  policy registrations carry Ref/Desc and sane param bounds
 //	detcheck     no nondeterministic values in simulation outputs
 //	ctxflow      long-running loops and entry points observe cancellation
 //	errflow      no dropped or overwritten errors in service/fleet/store
@@ -45,14 +44,12 @@ import (
 	"clustersmt/internal/lint/errflow"
 	"clustersmt/internal/lint/lockcheck"
 	"clustersmt/internal/lint/noalloc"
-	"clustersmt/internal/lint/registryref"
 )
 
 var analyzers = []*lint.Analyzer{
 	noalloc.Analyzer,
 	confighash.Analyzer,
 	lockcheck.Analyzer,
-	registryref.Analyzer,
 	detcheck.Analyzer,
 	ctxflow.Analyzer,
 	errflow.Analyzer,

@@ -4,26 +4,33 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"clustersmt/internal/core"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/metrics"
 )
 
-// Engine executes expanded campaigns on experiments runners, one per trace
-// length, all sharing one persistent store layer.
+// Engine executes expanded campaigns: every Plan item becomes a task on
+// the engine's lease queue, and lease loops run the tasks on experiments
+// runners, one per trace length, all sharing one persistent store layer.
 //
 // An Engine may be shared: runners (and with them the in-memory result
 // layer, the singleflight tables and the trace memos) persist across RunCtx
 // calls, so concurrent campaigns submitted to one Engine — the service
 // daemon's configuration — deduplicate overlapping specs exactly once even
-// while both are in flight.
+// while both are in flight, and their items interleave oldest-first on one
+// queue.
 //
-// The Engine is the in-process execution strategy over a campaign Plan;
-// the fleet coordinator (internal/campaign/fleet) is the distributed one.
-// Both fill the Plan's ResultSet through the same assembly code, so a
-// fleet run of a manifest is bit-for-bit comparable to a local run.
+// The queue is the only executor. The Engine's own in-process loops lease
+// from it by direct call; the fleet coordinator (internal/campaign/fleet)
+// is an Engine whose queue remote workers lease from over HTTP. Either way
+// the Plan assembles the ResultSet, so a fleet run of a manifest is
+// bit-for-bit comparable to a local run.
 type Engine struct {
 	// Store is the persistent result layer (typically *store.Store). Nil
 	// runs the campaign memory-only.
@@ -32,24 +39,49 @@ type Engine struct {
 	// when false, existing entries are ignored and overwritten, forcing
 	// every simulation to re-execute.
 	Resume bool
-	// Workers bounds per-campaign simulation parallelism (0 = NumCPU).
+	// Workers is the number of in-process lease loops, and so bounds the
+	// simulations the engine runs at once across all its campaigns
+	// (0 = NumCPU; < 0 = none: items wait for remote workers, the fleet
+	// coordinator's setting).
 	Workers int
-	// Gate, when non-nil, additionally bounds total simulation concurrency
-	// across every campaign this engine runs (see experiments.Runner.Gate).
-	// The service shares one gate across its job executors.
-	Gate chan struct{}
 	// Verbose, when set, receives one line per completed simulation.
 	Verbose func(string)
 	// SampleInterval, when non-zero, enables per-item time-series sampling:
 	// executed items collect one metrics.Sample per interval cycles (see
 	// core.Processor.SetSampler for rounding), attached to the item's
-	// Result and forwarded live through the progress callback. Store hits
+	// Result and forwarded through the progress callback — live from the
+	// in-process loops, on completion from remote workers. Store hits
 	// carry no samples — only actual simulations produce time series.
 	SampleInterval int64
 
-	mu      sync.Mutex
-	mem     *experiments.MemStore
-	runners map[int]*experiments.Runner
+	mu        sync.Mutex
+	mem       *experiments.MemStore
+	runners   map[int]*experiments.Runner
+	queue     *Queue
+	active    int    // RunCtx calls in progress
+	stopLoops func() // ends the current busy period's loops and waits for them
+
+	// testExecErr, when set, fails in-process attempts before they
+	// simulate: the fault-injection seam the fleet worker also has.
+	testExecErr func(Task) error
+}
+
+// NewEngine returns an engine whose items go on q, a queue built with the
+// caller's retry policy. The zero Engine builds a queue with the default
+// policy (NewQueue(0, 0, 0, nil)) on first use.
+func NewEngine(q *Queue) *Engine { return &Engine{queue: q} }
+
+// localWorker is the lease holder name of the engine's in-process loops.
+// Fleet worker IDs are "w%06d", so it never collides with one.
+const localWorker = "local"
+
+// localItem is what an in-process loop needs to run a task: the run's
+// context, the runner for its trace length, its key and its sample sink.
+type localItem struct {
+	ctx    context.Context
+	runner *experiments.Runner
+	key    string
+	sample func(metrics.Sample)
 }
 
 // ItemEvent reports one expanded item's lifecycle during RunCtx.
@@ -142,7 +174,7 @@ func pointOf(it Item, t int) baselinePoint {
 
 // runnerFor returns the engine's shared runner for trace length tl,
 // creating it on first use: a fresh-layer MemStore in front of the
-// persistent store, sharing the engine's gate. With Resume disabled the
+// persistent store. With Resume disabled the
 // runner is NOT cached and writes through a read-blind persistent layer, so
 // every simulation re-executes while fresh results still land on disk.
 func (e *Engine) runnerFor(tl int) *experiments.Runner {
@@ -157,9 +189,7 @@ func (e *Engine) runnerFor(tl int) *experiments.Runner {
 		e.mem = experiments.NewMemStore()
 	}
 	r := experiments.NewRunner(tl)
-	r.Workers = e.Workers
 	r.Verbose = e.Verbose
-	r.Gate = e.Gate
 	r.SampleInterval = e.SampleInterval
 	if e.Resume {
 		layers := []experiments.ResultStore{e.mem}
@@ -204,70 +234,226 @@ func (e *Engine) Run(m *Manifest) (*ResultSet, error) {
 	return e.RunCtx(context.Background(), m, nil)
 }
 
+// Queue returns the engine's lease queue.
+func (e *Engine) Queue() *Queue {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.queue == nil {
+		e.queue = NewQueue(0, 0, 0, nil)
+	}
+	return e.queue
+}
+
+// begin registers a RunCtx call. The first call of a busy period starts
+// the in-process lease loops.
+func (e *Engine) begin() *Queue {
+	q := e.Queue()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.active++; e.active == 1 && e.Workers >= 0 {
+		n := e.Workers
+		if n == 0 {
+			n = runtime.NumCPU()
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for i := 0; i < n; i++ {
+			go func() {
+				defer wg.Done()
+				e.loop(ctx, q)
+			}()
+		}
+		e.stopLoops = func() { cancel(); wg.Wait() }
+	}
+	return q
+}
+
+// end unregisters a RunCtx call; the last one stops the loops and waits
+// until they have exited. Only a cancelled run's simulations can still be
+// in flight then, and they stop at their next context poll.
+func (e *Engine) end() {
+	e.mu.Lock()
+	e.active--
+	stop := e.stopLoops
+	if e.active > 0 {
+		stop = nil
+	} else {
+		e.stopLoops = nil
+	}
+	e.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
+}
+
+// loop is one in-process lease loop: it leases a task at a time, woken by
+// the queue when work arrives, and runs it until ctx ends the busy period.
+// A task cut off by its run's cancellation is not reported: the run has
+// already removed it from the queue.
+func (e *Engine) loop(ctx context.Context, q *Queue) {
+	for {
+		ts := q.LeaseWait(ctx, localWorker, 1, forever, 0)
+		if len(ts) == 0 {
+			return
+		}
+		t, it := ts[0], ts[0].local
+		var st *metrics.Stats
+		var executed bool
+		var err error
+		if e.testExecErr != nil {
+			err = e.testExecErr(t)
+		}
+		if err == nil {
+			st, executed, err = it.runner.RunKeyed(it.ctx, t.Spec, it.key, it.sample)
+		}
+		if err != nil && it.ctx.Err() != nil {
+			continue
+		}
+		c := Completion{ID: t.ID, Attempt: t.Attempt, Executed: executed, Stats: st}
+		if err != nil {
+			c.Error, c.Stats = err.Error(), nil
+		}
+		q.Complete(localWorker, c)
+	}
+}
+
+// forever is the lease ttl of in-process loops: nothing renews their
+// leases, and nothing needs to — a loop that dies takes the process along.
+const forever = 100 * 365 * 24 * time.Hour
+
 // RunCtx is Run with cooperative cancellation and optional per-item
-// progress reporting. Cancelling the context stops in-flight simulations
-// mid-run and fails the not-yet-started items with the context's error;
-// completed items keep their results, so a cancelled campaign still returns
-// the partial ResultSet. The progress callback (optional) is invoked from
-// worker goroutines and must be safe for concurrent use.
+// progress reporting. Every item goes on the engine's queue; progress
+// receives Started on every lease grant and exactly one Result per item.
+// Failed attempts retry, and an item that fails every attempt is
+// reported as poisoned. Cancelling the context stops in-flight
+// simulations mid-run and fails the unfinished items with the context's
+// error; completed items keep their results, so a cancelled campaign
+// still returns the partial ResultSet. The progress callback (optional) is
+// invoked from worker goroutines and must be safe for concurrent use.
 func (e *Engine) RunCtx(ctx context.Context, m *Manifest, progress func(ItemEvent)) (*ResultSet, error) {
 	plan, err := NewPlan(m)
 	if err != nil {
 		return nil, err
 	}
 	rs := plan.NewResultSet(core.SimVersion)
-
-	// Per-item time series, collected outside the Result until the item
-	// completes. Safe without a lock: exactly one worker simulates item i,
-	// and its Sample callbacks happen-before its Finished callback on the
-	// same goroutine.
-	var samples [][]metrics.Sample
-	if e.SampleInterval > 0 {
-		samples = make([][]metrics.Sample, len(plan.Items))
+	n := len(plan.Items)
+	if n == 0 {
+		plan.Finalize(rs)
+		return rs, nil
 	}
+	q := e.begin()
+	defer e.end()
 
 	// One runner per trace length; the engine shares runners (and their
 	// in-memory layer) across campaigns, so concurrent submissions of
 	// overlapping manifests singleflight into one execution per spec.
-	for _, tl := range plan.TraceLens() {
-		idxs := plan.Indices(tl)
-		r := e.runnerFor(tl)
-		specs := make([]experiments.Spec, len(idxs))
-		for j, i := range idxs {
-			specs[j] = plan.Items[i].Spec
+	runners := map[int]*experiments.Runner{}
+
+	var (
+		resMu     sync.Mutex
+		completed = make([]bool, n)
+		reported  atomic.Int64 // Result events delivered
+		done      = make(chan struct{})
+	)
+	// Per-item time series from the in-process loops, collected outside
+	// the Result until the item completes. Safe without a lock: one
+	// attempt at a time simulates item i, and each attempt's Sample
+	// callbacks happen-before its completion and the next lease.
+	var samples [][]metrics.Sample
+	if e.SampleInterval > 0 {
+		samples = make([][]metrics.Sample, n)
+	}
+	prefix := fmt.Sprintf("r%06d/", q.nextRun())
+	ids, keys := make([]string, n), make([]string, n)
+	for i, it := range plan.Items {
+		r := runners[it.TraceLen]
+		if r == nil {
+			r = e.runnerFor(it.TraceLen)
+			runners[it.TraceLen] = r
 		}
-		p := &experiments.Progress{
-			Finished: func(j int, st *metrics.Stats, executed bool, err error) {
-				i := idxs[j]
-				res := plan.Result(i, r.CacheKey(plan.Items[i].Spec), st, executed, err)
-				if executed && samples != nil {
-					res.Samples = samples[i]
-				}
-				rs.Results[i] = res
-				if progress != nil {
-					progress(ItemEvent{Index: i, Result: &rs.Results[i]})
-				}
-			},
-		}
-		if progress != nil {
-			p.Started = func(j int) {
-				progress(ItemEvent{Index: idxs[j], Started: true})
-			}
-		}
+		key := r.CacheKey(it.Spec)
+		keys[i] = key
+		local := &localItem{ctx: ctx, runner: r, key: key}
 		if samples != nil {
-			p.Sample = func(j int, s metrics.Sample) {
-				i := idxs[j]
+			local.sample = func(s metrics.Sample) {
 				samples[i] = append(samples[i], s)
 				if progress != nil {
 					progress(ItemEvent{Index: i, Sample: &s})
 				}
 			}
 		}
-		// Per-item errors already landed in the results via the callback;
-		// the set reports Failed below.
-		_, _ = r.RunAllCtx(ctx, specs, p)
+		onLease := func(Task) {
+			if samples != nil {
+				samples[i] = nil
+			}
+			if progress != nil {
+				progress(ItemEvent{Index: i, Started: true})
+			}
+		}
+		onDone := func(o Outcome) {
+			if o.Worker != localWorker {
+				// A remote worker's result: replicate it into the store
+				// even if the worker's own PUT failed (duplicates are
+				// idempotent writes), and replay its time series.
+				if o.Err == nil && o.Stats != nil {
+					r.Store.Put(key, o.Stats)
+				}
+				if samples != nil {
+					samples[i] = o.Samples
+				}
+				for k := range o.Samples {
+					if progress != nil {
+						progress(ItemEvent{Index: i, Sample: &o.Samples[k]})
+					}
+				}
+			}
+			res := plan.Result(i, key, o.Stats, o.Executed, o.Err)
+			if o.Executed && samples != nil {
+				res.Samples = samples[i]
+			}
+			resMu.Lock()
+			if completed[i] {
+				resMu.Unlock()
+				return
+			}
+			completed[i] = true
+			rs.Results[i] = res
+			resMu.Unlock()
+			if progress != nil {
+				progress(ItemEvent{Index: i, Result: &rs.Results[i]})
+			}
+			// The run ends only after every item's Result event was
+			// delivered, not merely decided: a caller may close its
+			// event stream the moment RunCtx returns.
+			if reported.Add(1) == int64(n) {
+				close(done)
+			}
+		}
+		ids[i] = prefix + strconv.Itoa(i)
+		task := Task{ID: ids[i], TraceLen: it.TraceLen, SampleInterval: e.SampleInterval, Spec: it.Spec, local: local}
+		if err := q.Add(task, onLease, onDone); err != nil {
+			q.Remove(ids[:i+1])
+			return nil, err
+		}
 	}
 
+	select {
+	case <-done:
+	case <-ctx.Done():
+		// Abandon the run: drop every queued/leased item so late
+		// completions become duplicate no-ops, then fail what never
+		// finished with the context's error.
+		q.Remove(ids)
+		resMu.Lock()
+		for i := range completed {
+			if !completed[i] {
+				completed[i] = true
+				rs.Results[i] = plan.Result(i, keys[i], nil, false, ctx.Err())
+			}
+		}
+		resMu.Unlock()
+	}
 	plan.Finalize(rs)
 	return rs, nil
 }

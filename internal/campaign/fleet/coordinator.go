@@ -1,13 +1,27 @@
+// Package fleet scales the campaign service across processes: a
+// coordinator — a campaign.Engine whose lease queue is served over HTTP,
+// with a worker registry and the shared result store — and pull-based
+// workers that lease task batches, simulate them locally and report
+// completions. Placement stays in campaign.Plan and dispatch in
+// campaign.Queue, the same queue a local Engine's in-process loops drain,
+// which is what makes a fleet run of a manifest bit-for-bit identical to a
+// local one.
+//
+// The failure model is lease-based: a worker that stops heartbeating (or
+// never reports a leased item) loses its leases, and the items requeue
+// with capped exponential backoff. Items that keep failing reach a
+// terminal poison state after a bounded number of attempts, so one broken
+// spec cannot wedge a campaign. Completions are idempotent, keyed by
+// (item ID, attempt): duplicate or stale reports — a worker presumed dead
+// that finishes anyway — are no-ops.
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"clustersmt/internal/campaign"
-	"clustersmt/internal/core"
 	"clustersmt/internal/experiments"
 )
 
@@ -28,8 +42,8 @@ type Config struct {
 	// attempts (0 = 250ms base, 10s cap).
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// PollInterval is the idle-worker poll cadence advertised to workers
-	// and the coordinator's own reap cadence during a run (0 = 250ms).
+	// PollInterval is how long the lease route holds an idle worker's
+	// empty lease open, and the coordinator's reap cadence (0 = 250ms).
 	PollInterval time.Duration
 	// Clock overrides the time source (tests; nil = time.Now).
 	Clock func() time.Time
@@ -37,37 +51,27 @@ type Config struct {
 	Verbose func(string)
 }
 
-// Coordinator is the fleet's control plane: the worker registry, the
-// dispatch queue and the shared result store, exposed over HTTP (see
-// Register). Campaigns run through RunCtx, which is signature-compatible
-// with campaign.Engine.RunCtx — the service swaps one for the other in
-// fleet mode. A single Coordinator serves concurrent campaigns; their
-// items interleave in one queue.
+// Coordinator is the fleet's control plane: a campaign.Engine with no
+// in-process loops, whose lease queue remote workers drain over HTTP (see
+// Register), plus the worker registry and the shared result store those
+// routes serve. Campaigns run through the embedded Engine's RunCtx; a
+// single Coordinator serves concurrent campaigns, whose items interleave
+// on its one queue.
 type Coordinator struct {
+	*campaign.Engine
 	cfg   Config
-	store experiments.ResultStore
-	queue *Queue
+	queue *campaign.Queue
 	reg   *registry
 	clock func() time.Time
 
-	mu     sync.Mutex
-	runSeq int
-	keyers map[int]*experiments.Runner
+	mu       sync.Mutex
+	lastTick time.Time
 }
 
 // NewCoordinator returns a coordinator with cfg's defaults applied.
 func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 10 * time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 250 * time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 10 * time.Second
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 250 * time.Millisecond
@@ -76,32 +80,30 @@ func NewCoordinator(cfg Config) *Coordinator {
 	if clock == nil {
 		clock = time.Now
 	}
-	st := cfg.Store
-	if st == nil {
-		st = experiments.NewMemStore()
+	if cfg.Store == nil {
+		cfg.Store = experiments.NewMemStore()
 	}
+	q := campaign.NewQueue(cfg.MaxAttempts, cfg.RetryBase, cfg.RetryCap, clock)
+	eng := campaign.NewEngine(q)
+	eng.Store, eng.Resume, eng.Workers = cfg.Store, true, -1
 	return &Coordinator{
+		Engine: eng,
 		cfg:    cfg,
-		store:  st,
-		queue:  NewQueue(cfg.MaxAttempts, cfg.RetryBase, cfg.RetryCap, clock),
+		queue:  q,
 		reg:    newRegistry(cfg.LeaseTTL, clock),
 		clock:  clock,
-		keyers: make(map[int]*experiments.Runner),
 	}
 }
 
-// Store returns the coordinator's shared result store.
-func (c *Coordinator) Store() experiments.ResultStore { return c.store }
-
 // Status is the fleet's observable state, served by GET /v1/workers.
 type Status struct {
-	Workers []WorkerInfo `json:"workers"`
-	Queue   QueueStats   `json:"queue"`
+	Workers []WorkerInfo        `json:"workers"`
+	Queue   campaign.QueueStats `json:"queue"`
 }
 
 // Status snapshots the registry and queue.
 func (c *Coordinator) Status() Status {
-	leased := c.queue.leasedBy()
+	leased := c.queue.LeasedBy()
 	ws := c.reg.list()
 	for i := range ws {
 		ws[i].Leased = leased[ws[i].ID]
@@ -111,8 +113,10 @@ func (c *Coordinator) Status() Status {
 
 // Tick advances the failure detector once: workers past their liveness ttl
 // are reaped (their leases requeue immediately) and expired leases
-// reclaimed. RunCtx ticks on PollInterval while a campaign runs; tests
-// drive it directly against a fake clock.
+// reclaimed. The lease and heartbeat routes tick at most once per
+// PollInterval, so detection advances whenever any worker talks to the
+// coordinator — and a fleet with no live worker has no one to hand the
+// reclaimed items to. Tests drive Tick directly against a fake clock.
 func (c *Coordinator) Tick() {
 	for _, id := range c.reg.reap() {
 		n := c.queue.RequeueWorker(id)
@@ -123,127 +127,22 @@ func (c *Coordinator) Tick() {
 	}
 }
 
+// tick runs Tick unless it ran within the last PollInterval.
+func (c *Coordinator) tick() {
+	now := c.clock()
+	c.mu.Lock()
+	due := now.Sub(c.lastTick) >= c.cfg.PollInterval
+	if due {
+		c.lastTick = now
+	}
+	c.mu.Unlock()
+	if due {
+		c.Tick()
+	}
+}
+
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Verbose != nil {
 		c.cfg.Verbose("fleet: " + fmt.Sprintf(format, args...))
-	}
-}
-
-// keyFor computes an item's content-addressed result key on the
-// coordinator, via a cached per-trace-length keyer runner. Result rows
-// therefore carry exactly the keys a local Engine run would, independent of
-// what any worker reports.
-func (c *Coordinator) keyFor(tl int, s experiments.Spec) string {
-	c.mu.Lock()
-	r, ok := c.keyers[tl]
-	if !ok {
-		r = experiments.NewRunner(tl)
-		c.keyers[tl] = r
-	}
-	c.mu.Unlock()
-	return r.CacheKey(s)
-}
-
-// RunCtx expands m into a plan, enqueues every item for the fleet and
-// blocks until all items reach a terminal state (completed or poisoned) or
-// ctx is cancelled. The signature and semantics mirror
-// campaign.Engine.RunCtx: progress receives Started on every lease grant
-// and exactly one Result per item; cancellation returns the partial
-// ResultSet with context errors on unfinished items, not an error.
-func (c *Coordinator) RunCtx(ctx context.Context, m *campaign.Manifest, progress func(campaign.ItemEvent)) (*campaign.ResultSet, error) {
-	plan, err := campaign.NewPlan(m)
-	if err != nil {
-		return nil, err
-	}
-	rs := plan.NewResultSet(core.SimVersion)
-	n := len(plan.Items)
-	if n == 0 {
-		plan.Finalize(rs)
-		return rs, nil
-	}
-
-	c.mu.Lock()
-	c.runSeq++
-	runID := c.runSeq
-	c.mu.Unlock()
-
-	var (
-		resMu     sync.Mutex
-		completed = make([]bool, n)
-		remaining = n
-		done      = make(chan struct{})
-	)
-	ids := make([]string, n)
-	for i := range plan.Items {
-		i := i
-		it := plan.Items[i]
-		ids[i] = fmt.Sprintf("r%06d/%d", runID, i)
-		key := c.keyFor(it.TraceLen, it.Spec)
-		onLease := func(Task) {
-			if progress != nil {
-				progress(campaign.ItemEvent{Index: i, Started: true})
-			}
-		}
-		onDone := func(o Outcome) {
-			// Replicate the stats into the shared store even if the worker's
-			// own PUT failed; duplicates are idempotent writes.
-			if o.Err == nil && o.Stats != nil {
-				c.store.Put(key, o.Stats)
-			}
-			res := plan.Result(i, key, o.Stats, o.Executed, o.Err)
-			resMu.Lock()
-			if completed[i] {
-				resMu.Unlock()
-				return
-			}
-			completed[i] = true
-			rs.Results[i] = res
-			remaining--
-			last := remaining == 0
-			resMu.Unlock()
-			if progress != nil {
-				progress(campaign.ItemEvent{Index: i, Result: &rs.Results[i]})
-			}
-			if last {
-				close(done)
-			}
-		}
-		task := Task{ID: ids[i], TraceLen: it.TraceLen, Spec: it.Spec}
-		if err := c.queue.Add(task, onLease, onDone); err != nil {
-			c.queue.Remove(ids[:i+1])
-			return nil, err
-		}
-	}
-	c.logf("campaign %s: %d items enqueued", m.Name, n)
-
-	tick := time.NewTicker(c.cfg.PollInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-done:
-			plan.Finalize(rs)
-			c.logf("campaign %s: complete (%d executed, %d store hits, %d failed)",
-				m.Name, rs.Executed, rs.StoreHits, rs.Failed)
-			return rs, nil
-		case <-ctx.Done():
-			// Abandon the run: drop every queued/leased item so late
-			// completions become duplicate no-ops, then fail what never
-			// finished with the context's error. Finished items keep their
-			// results, matching the Engine's cancellation contract.
-			c.queue.Remove(ids)
-			resMu.Lock()
-			for i := range completed {
-				if !completed[i] {
-					completed[i] = true
-					rs.Results[i] = plan.Result(i, "", nil, false, ctx.Err())
-				}
-			}
-			resMu.Unlock()
-			plan.Finalize(rs)
-			c.logf("campaign %s: canceled", m.Name)
-			return rs, nil
-		case <-tick.C:
-			c.Tick()
-		}
 	}
 }

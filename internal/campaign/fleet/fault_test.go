@@ -244,3 +244,38 @@ func TestPoisonedItemsFailCampaign(t *testing.T) {
 		t.Fatalf("queue shows %d poisoned, want %d", st.Poisoned, rs.Total)
 	}
 }
+
+// TestLeaseLongPoll: an idle worker's lease request waits on the queue
+// rather than the worker sleeping between polls, so a job submitted to an
+// idle fleet starts at once — even with a poll interval far longer than
+// the job.
+func TestLeaseLongPoll(t *testing.T) {
+	coord, srv := startCoordinator(t, Config{PollInterval: 5 * time.Second})
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "idle", Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, w)
+	for len(coord.Status().Workers) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	// Let the worker's first lease find the queue empty and park.
+	time.Sleep(100 * time.Millisecond)
+
+	m, err := campaign.Parse([]byte(`{
+		"workloads": ["dh.ilp.2.1"],
+		"schemes": ["icount"],
+		"trace_lens": [1000]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rs := runFleet(t, coord, m)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("1-item job on an idle fleet took %v with a 5s poll interval", d)
+	}
+	if rs.Failed != 0 || rs.Executed != 1 {
+		t.Fatalf("tally: %d executed, %d failed", rs.Executed, rs.Failed)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"clustersmt/internal/campaign"
 	"clustersmt/internal/campaign/store"
 	"clustersmt/internal/report"
 )
@@ -14,6 +15,13 @@ import (
 // Stats document and lease requests a single integer; a megabyte is
 // generous.
 const maxBodyBytes = 1 << 20
+
+// Task and Completion are the lease and completion bodies: the campaign
+// queue's own task and report types.
+type (
+	Task       = campaign.Task
+	Completion = campaign.Completion
+)
 
 // RegisterRequest is the POST /v1/workers body.
 type RegisterRequest struct {
@@ -24,7 +32,7 @@ type RegisterRequest struct {
 
 // RegisterResponse tells a new worker its identity and cadence contract:
 // heartbeat within HeartbeatMs (well inside the lease ttl) or be presumed
-// dead, and poll for work every PollMs when idle.
+// dead. PollMs is how long the coordinator holds an empty lease open.
 type RegisterResponse struct {
 	ID          string `json:"id"`
 	LeaseTTLMs  int64  `json:"lease_ttl_ms"`
@@ -39,7 +47,7 @@ type LeaseRequest struct {
 }
 
 // LeaseResponse carries a leased batch; an empty Tasks slice means no work
-// is currently available and the worker should poll again in PollMs.
+// arrived within PollMs and the worker should simply ask again.
 type LeaseResponse struct {
 	Tasks  []Task `json:"tasks"`
 	PollMs int64  `json:"poll_ms"`
@@ -66,7 +74,7 @@ func (c *Coordinator) Handler() http.Handler {
 //	POST /v1/workers                 register; returns id + cadence contract
 //	GET  /v1/workers                 registry + queue snapshot (Status)
 //	POST /v1/workers/{id}/heartbeat  liveness; renews the worker's leases
-//	POST /v1/workers/{id}/lease      pull a task batch (work-stealing)
+//	POST /v1/workers/{id}/lease      pull a task batch (long-polls when idle)
 //	POST /v1/workers/{id}/complete   report one task's outcome (idempotent)
 //	GET  /v1/store/{key}             fetch a shared-store entry
 //	PUT  /v1/store/{key}             upload a checksummed entry (422 if invalid)
@@ -143,6 +151,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.queue.Renew(id, c.cfg.LeaseTTL)
+	c.tick()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -160,7 +169,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 {
 		max = 1
 	}
-	tasks := c.queue.Lease(id, c.reg.live(), max, c.cfg.LeaseTTL)
+	c.tick()
+	tasks := c.queue.LeaseWait(r.Context(), id, max, c.cfg.LeaseTTL, c.cfg.PollInterval)
 	if len(tasks) > 0 {
 		c.logf("worker %s leased %d task(s)", id, len(tasks))
 	}
@@ -197,7 +207,7 @@ func (c *Coordinator) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 		fleetErr(w, http.StatusBadRequest, "invalid store key %q", key)
 		return
 	}
-	st, ok, err := c.store.Get(key)
+	st, ok, err := c.Store.Get(key)
 	if err != nil || !ok {
 		// A corrupt coordinator-side entry is a miss here too: the worker
 		// re-simulates and its PUT overwrites the bad entry.
@@ -236,7 +246,7 @@ func (c *Coordinator) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		fleetErr(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	if err := c.store.Put(key, st); err != nil {
+	if err := c.Store.Put(key, st); err != nil {
 		fleetErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

@@ -7,7 +7,20 @@ import (
 	"testing"
 	"time"
 
+	"clustersmt/internal/campaign"
 	"clustersmt/internal/metrics"
+)
+
+// The lease queue lives in package campaign, where the engine enqueues on
+// it; its unit tests stay beside the fleet routes that serve it.
+type (
+	Queue   = campaign.Queue
+	Outcome = campaign.Outcome
+)
+
+var (
+	NewQueue    = campaign.NewQueue
+	errPoisoned = campaign.ErrPoisoned
 )
 
 // fakeClock is a manually-advanced time source for lease tests.
@@ -76,7 +89,7 @@ func TestExpiryRequeuesExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := q.Lease("w1", []string{"w1"}, 10, ttl)
+	got := q.Lease("w1", 10, ttl)
 	if len(got) != 1 || got[0].Attempt != 1 {
 		t.Fatalf("lease = %+v, want 1 task at attempt 1", got)
 	}
@@ -95,7 +108,7 @@ func TestExpiryRequeuesExactlyOnce(t *testing.T) {
 
 	// The requeued item leases again with a bumped attempt (after backoff).
 	clk.advance(2 * time.Second)
-	got = q.Lease("w1", []string{"w1"}, 10, ttl)
+	got = q.Lease("w1", 10, ttl)
 	if len(got) != 1 || got[0].Attempt != 2 {
 		t.Fatalf("re-lease = %+v, want attempt 2", got)
 	}
@@ -106,7 +119,7 @@ func TestRenewalPreventsRequeue(t *testing.T) {
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
 	q.Add(Task{ID: "a"}, nil, rec.onDone)
-	q.Lease("w1", []string{"w1"}, 1, ttl)
+	q.Lease("w1", 1, ttl)
 
 	// Heartbeat renewals inside the ttl keep the lease alive arbitrarily
 	// long past the original deadline.
@@ -132,13 +145,13 @@ func TestDuplicateCompletionAfterExpiryIgnored(t *testing.T) {
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
 	q.Add(Task{ID: "a"}, nil, rec.onDone)
-	q.Lease("w1", []string{"w1", "w2"}, 1, ttl)
+	q.Lease("w1", 1, ttl)
 
 	// w1 goes silent; its lease expires and w2 picks the item up.
 	clk.advance(ttl + time.Second)
 	q.ExpireLeases()
 	clk.advance(time.Second)
-	got := q.Lease("w2", []string{"w2"}, 1, ttl)
+	got := q.Lease("w2", 1, ttl)
 	if len(got) != 1 || got[0].Attempt != 2 {
 		t.Fatalf("w2 lease = %+v, want attempt 2", got)
 	}
@@ -173,7 +186,7 @@ func TestCompletionFromWrongWorkerRejected(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5)
 	q.Add(Task{ID: "a"}, nil, nil)
-	q.Lease("w1", []string{"w1"}, 1, ttl)
+	q.Lease("w1", 1, ttl)
 	if q.Complete("w2", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}}) {
 		t.Fatal("completion from a worker that does not hold the lease was accepted")
 	}
@@ -187,26 +200,26 @@ func TestBackoffGatesRelease(t *testing.T) {
 	q := newTestQueue(clk, 5) // base 100ms, cap 1s
 	q.Add(Task{ID: "a"}, nil, nil)
 
-	q.Lease("w1", []string{"w1"}, 1, ttl)
+	q.Lease("w1", 1, ttl)
 	q.Complete("w1", Completion{ID: "a", Attempt: 1, Error: "boom"})
 
 	// Immediately after the failure the item is backing off.
-	if got := q.Lease("w1", []string{"w1"}, 1, ttl); len(got) != 0 {
+	if got := q.Lease("w1", 1, ttl); len(got) != 0 {
 		t.Fatalf("leased %d tasks during backoff, want 0", len(got))
 	}
 	clk.advance(150 * time.Millisecond) // past base<<0
-	if got := q.Lease("w1", []string{"w1"}, 1, ttl); len(got) != 1 {
+	if got := q.Lease("w1", 1, ttl); len(got) != 1 {
 		t.Fatal("item not leasable after backoff elapsed")
 	}
 
 	// Second failure doubles the backoff window.
 	q.Complete("w1", Completion{ID: "a", Attempt: 2, Error: "boom"})
 	clk.advance(150 * time.Millisecond)
-	if got := q.Lease("w1", []string{"w1"}, 1, ttl); len(got) != 0 {
+	if got := q.Lease("w1", 1, ttl); len(got) != 0 {
 		t.Fatal("second backoff did not grow")
 	}
 	clk.advance(100 * time.Millisecond) // total 250ms > base<<1
-	if got := q.Lease("w1", []string{"w1"}, 1, ttl); len(got) != 1 {
+	if got := q.Lease("w1", 1, ttl); len(got) != 1 {
 		t.Fatal("item not leasable after doubled backoff")
 	}
 }
@@ -219,7 +232,7 @@ func TestPoisonAfterAttemptCap(t *testing.T) {
 
 	for attempt := 1; attempt <= 2; attempt++ {
 		clk.advance(2 * time.Second) // clears any backoff
-		got := q.Lease("w1", []string{"w1"}, 1, ttl)
+		got := q.Lease("w1", 1, ttl)
 		if len(got) != 1 {
 			t.Fatalf("attempt %d not leased", attempt)
 		}
@@ -242,7 +255,7 @@ func TestPoisonAfterAttemptCap(t *testing.T) {
 	}
 	// Terminal: never leased again.
 	clk.advance(time.Hour)
-	if got := q.Lease("w1", []string{"w1"}, 1, ttl); len(got) != 0 {
+	if got := q.Lease("w1", 1, ttl); len(got) != 0 {
 		t.Fatal("poisoned task leased again")
 	}
 }
@@ -252,7 +265,7 @@ func TestRequeueWorkerReclaimsImmediately(t *testing.T) {
 	q := newTestQueue(clk, 5)
 	q.Add(Task{ID: "a"}, nil, nil)
 	q.Add(Task{ID: "b"}, nil, nil)
-	q.Lease("w1", []string{"w1"}, 2, ttl)
+	q.Lease("w1", 2, ttl)
 
 	// The registry reaped w1: its leases die now, not at ttl.
 	if n := q.RequeueWorker("w1"); n != 2 {
@@ -266,46 +279,12 @@ func TestRequeueWorkerReclaimsImmediately(t *testing.T) {
 	}
 }
 
-func TestAffinityAndStealing(t *testing.T) {
-	clk := newFakeClock()
-	q := newTestQueue(clk, 5)
-	live := []string{"w1", "w2"}
-	var w1Owned []string
-	for _, id := range []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"} {
-		q.Add(Task{ID: id}, nil, nil)
-		if owner(id, live) == "w1" {
-			w1Owned = append(w1Owned, id)
-		}
-	}
-	if len(w1Owned) == 0 || len(w1Owned) == 8 {
-		t.Fatalf("degenerate rendezvous split: w1 owns %d of 8", len(w1Owned))
-	}
-
-	// Affinity: a lease capped at w1's shard size returns exactly its shard.
-	got := q.Lease("w1", live, len(w1Owned), ttl)
-	gotIDs := make(map[string]bool)
-	for _, task := range got {
-		gotIDs[task.ID] = true
-	}
-	for _, id := range w1Owned {
-		if !gotIDs[id] {
-			t.Fatalf("w1's lease %v skipped its own shard item %s", gotIDs, id)
-		}
-	}
-
-	// Stealing: w1 asks again and drains w2's untouched shard.
-	rest := q.Lease("w1", live, 8, ttl)
-	if len(got)+len(rest) != 8 {
-		t.Fatalf("w1 leased %d+%d items, want all 8", len(got), len(rest))
-	}
-}
-
 func TestRemoveSilencesCompletions(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
 	q.Add(Task{ID: "a"}, nil, rec.onDone)
-	q.Lease("w1", []string{"w1"}, 1, ttl)
+	q.Lease("w1", 1, ttl)
 
 	q.Remove([]string{"a"})
 	if q.Complete("w1", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}}) {

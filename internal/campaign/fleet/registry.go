@@ -19,8 +19,8 @@ type WorkerInfo struct {
 }
 
 // registry tracks live workers by heartbeat. A worker that misses its ttl
-// is reaped: removed from the live set so the queue stops sharding to it,
-// with its leases requeued by the coordinator.
+// is reaped: removed from the registry, with its leases requeued by the
+// coordinator.
 type registry struct {
 	ttl   time.Duration
 	clock func() time.Time
@@ -66,25 +66,6 @@ func (r *registry) heartbeat(id string) bool {
 	}
 	w.LastSeen = r.clock()
 	return true
-}
-
-// known reports whether id is currently registered.
-func (r *registry) known(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.workers[id]
-	return ok
-}
-
-// live returns the registered worker IDs (the rendezvous-hash population).
-func (r *registry) live() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.workers))
-	for id := range r.workers {
-		out = append(out, id)
-	}
-	return out
 }
 
 // list snapshots every registered worker.

@@ -12,7 +12,7 @@ import (
 )
 
 // TestQueueStress hammers one queue from 8 goroutines — six worker loops
-// leasing/stealing/completing/failing/abandoning, one lease expirer, one
+// leasing/completing/failing/abandoning, one lease expirer, one
 // whole-worker requeuer — and checks the dispatch invariants:
 //
 //   - no (task, attempt) pair is ever granted twice: a lease grant is
@@ -75,7 +75,6 @@ func TestQueueStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			id := fmt.Sprintf("w%d", w)
-			live := []string{"w0", "w1", "w2", "w3", "w4", "w5"}
 			rng := rand.New(rand.NewSource(int64(w)))
 			for {
 				select {
@@ -83,7 +82,7 @@ func TestQueueStress(t *testing.T) {
 					return
 				default:
 				}
-				tasks := q.Lease(id, live, 4, 50*time.Microsecond)
+				tasks := q.Lease(id, 4, 50*time.Microsecond)
 				for _, task := range tasks {
 					switch rng.Intn(4) {
 					case 0: // abandon: say nothing, let the lease expire

@@ -54,12 +54,19 @@ type Worker struct {
 	leaseTTL  time.Duration
 	heartbeat time.Duration
 	poll      time.Duration
-	runners   map[int]*experiments.Runner
+	runners   map[runnerKey]*experiments.Runner
 
 	// Test seams (package-internal): observe task pickup and inject
 	// per-task execution failures without touching the simulation path.
 	testOnTaskStart func(Task)
 	testExecuteErr  func(Task) error
+}
+
+// runnerKey selects a worker runner: tasks of one trace length share trace
+// memos, and the sample interval is a runner setting.
+type runnerKey struct {
+	traceLen int
+	interval int64
 }
 
 // NewWorker validates cfg and returns an unstarted worker; Run drives it.
@@ -82,7 +89,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg:     cfg,
 		client:  client,
 		remote:  remote,
-		runners: make(map[int]*experiments.Runner),
+		runners: make(map[runnerKey]*experiments.Runner),
 	}, nil
 }
 
@@ -120,16 +127,14 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		// An empty lease needs no pause: the coordinator already held the
+		// request open for its poll interval.
 		tasks, err := w.lease(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
 			w.logf("lease: %v", err)
-			sleepCtx(ctx, w.pollInterval())
-			continue
-		}
-		if len(tasks) == 0 {
 			sleepCtx(ctx, w.pollInterval())
 			continue
 		}
@@ -210,8 +215,9 @@ func (w *Worker) pollInterval() time.Duration {
 	return w.poll
 }
 
-// lease pulls a task batch; a 404 (reaped identity) re-registers and
-// returns empty so the caller just polls again.
+// lease pulls a task batch, waiting up to the poll interval for one; a
+// 404 (reaped identity) re-registers and returns empty so the caller just
+// asks again.
 func (w *Worker) lease(ctx context.Context) ([]Task, error) {
 	id := w.ID()
 	var resp LeaseResponse
@@ -232,72 +238,80 @@ func (w *Worker) lease(ctx context.Context) ([]Task, error) {
 	return resp.Tasks, nil
 }
 
-// runnerFor returns the worker's shared runner for trace length tl. The
-// store layering is the fleet's dedup path: memory first, then the
-// optional local disk store, then the coordinator over HTTP — and a
-// simulation's Put writes through all of them, replicating fresh results
-// fleet-wide.
-func (w *Worker) runnerFor(tl int) *experiments.Runner {
+// runnerFor returns the worker's shared runner for trace length tl and
+// sample interval si. The store layering is the fleet's dedup path: memory
+// first, then the optional local disk store, then the coordinator over
+// HTTP — and a simulation's Put writes through all of them, replicating
+// fresh results fleet-wide.
+func (w *Worker) runnerFor(tl int, si int64) *experiments.Runner {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if r, ok := w.runners[tl]; ok {
+	k := runnerKey{tl, si}
+	if r, ok := w.runners[k]; ok {
 		return r
 	}
 	r := experiments.NewRunner(tl)
-	r.Workers = w.cfg.Parallel
+	r.SampleInterval = si
 	layers := []experiments.ResultStore{experiments.NewMemStore()}
 	if w.cfg.LocalStore != nil {
 		layers = append(layers, w.cfg.LocalStore)
 	}
 	layers = append(layers, w.remote)
 	r.Store = experiments.Layered(layers...)
-	w.runners[tl] = r
+	w.runners[k] = r
 	return r
 }
 
-// execute simulates a leased batch and reports completions. Tasks whose
-// execution was cut off by ctx cancellation are deliberately NOT reported:
-// a dying worker stays silent, the lease expires, and the coordinator
-// requeues — reporting a cancellation as failure would burn an attempt on
-// a healthy item.
+// execute simulates a leased batch, at most Parallel tasks at a time, and
+// reports each completion as it lands.
 func (w *Worker) execute(ctx context.Context, tasks []Task) {
-	byLen := make(map[int][]Task)
+	slots := make(chan struct{}, w.cfg.Parallel)
+	var wg sync.WaitGroup
 	for _, t := range tasks {
-		if w.testOnTaskStart != nil {
-			w.testOnTaskStart(t)
-		}
-		if w.testExecuteErr != nil {
-			if err := w.testExecuteErr(t); err != nil {
-				w.report(ctx, Completion{ID: t.ID, Attempt: t.Attempt, Error: err.Error()})
-				continue
-			}
-		}
-		byLen[t.TraceLen] = append(byLen[t.TraceLen], t)
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			w.run(ctx, t)
+		}()
 	}
-	for tl, group := range byLen {
-		r := w.runnerFor(tl)
-		specs := make([]experiments.Spec, len(group))
-		for i, t := range group {
-			specs[i] = t.Spec
-		}
-		p := &experiments.Progress{
-			Finished: func(i int, st *metrics.Stats, executed bool, err error) {
-				t := group[i]
-				if err != nil && isCtxErr(err) {
-					return // dying quietly; the lease requeues the item
-				}
-				comp := Completion{ID: t.ID, Attempt: t.Attempt, Key: r.CacheKey(t.Spec), Executed: executed, Stats: st}
-				if err != nil {
-					comp.Error = err.Error()
-					comp.Stats = nil
-				}
-				w.report(ctx, comp)
-			},
-		}
-		// Per-item errors already landed in the completions via the
-		// callback; a context cancellation is the loop condition's to see.
-		_, _ = r.RunAllCtx(ctx, specs, p)
+	wg.Wait()
+}
+
+// run simulates one task and reports it. A task cut off by ctx
+// cancellation is deliberately NOT reported: a dying worker stays silent,
+// the lease expires, and the coordinator requeues — reporting a
+// cancellation as failure would burn an attempt on a healthy item.
+func (w *Worker) run(ctx context.Context, t Task) {
+	if w.testOnTaskStart != nil {
+		w.testOnTaskStart(t)
 	}
+	if w.testExecuteErr != nil {
+		if err := w.testExecuteErr(t); err != nil {
+			w.report(ctx, Completion{ID: t.ID, Attempt: t.Attempt, Error: err.Error()})
+			return
+		}
+	}
+	r := w.runnerFor(t.TraceLen, t.SampleInterval)
+	key := r.CacheKey(t.Spec)
+	var samples []metrics.Sample
+	var onSample func(metrics.Sample)
+	if t.SampleInterval > 0 {
+		onSample = func(s metrics.Sample) { samples = append(samples, s) }
+	}
+	st, executed, err := r.RunKeyed(ctx, t.Spec, key, onSample)
+	if err != nil && isCtxErr(err) {
+		return
+	}
+	comp := Completion{ID: t.ID, Attempt: t.Attempt, Key: key, Executed: executed, Stats: st}
+	if executed {
+		comp.Samples = samples
+	}
+	if err != nil {
+		comp.Error = err.Error()
+		comp.Stats = nil
+	}
+	w.report(ctx, comp)
 }
 
 // report posts one completion; a transport failure is logged and dropped

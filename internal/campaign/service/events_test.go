@@ -176,7 +176,7 @@ func TestSSEStreamsSamplesAndTerminal(t *testing.T) {
 // stream with a "state: canceled" frame rather than leaving subscribers
 // hanging.
 func TestSSECancelClosesStream(t *testing.T) {
-	srv := startServer(t, Config{Workers: 1, JobWorkers: 1})
+	srv := startServer(t, Config{Workers: 1})
 	st := submit(t, srv, `{
 		"categories": ["dh"],
 		"schemes": ["icount", "cssp", "cdprf"],

@@ -117,3 +117,54 @@ func TestFleetServiceMatchesLocal(t *testing.T) {
 		t.Errorf("store_hits_total = %v, want %d", got, rs2.Total)
 	}
 }
+
+// TestFleetSamplesMatchLocal: time series survive the fleet. A fleet-mode
+// job with sampling on streams SSE sample frames, and every executed
+// item's Result.Samples equals what a single-process daemon records for
+// the same item.
+func TestFleetSamplesMatchLocal(t *testing.T) {
+	manifest := `{
+		"workloads": ["dh.ilp.2.1"],
+		"schemes": ["icount", "cssp"],
+		"trace_lens": [20000]
+	}`
+	coord := fleet.NewCoordinator(fleet.Config{PollInterval: 20 * time.Millisecond})
+	fleetSrv := startServer(t, Config{Fleet: coord, SampleInterval: 1024})
+	startFleetWorkers(t, fleetSrv, 2)
+
+	st := submit(t, fleetSrv, manifest)
+	samples := 0
+	for _, e := range readSSE(t, openEvents(t, fleetSrv, st.ID)) {
+		if e.Type == "sample" {
+			samples++
+		}
+	}
+	if samples == 0 {
+		t.Fatal("fleet job streamed no sample frames")
+	}
+	if final := waitFinished(t, fleetSrv, st.ID); final.State != StateDone {
+		t.Fatalf("fleet job state = %s (%s)", final.State, final.Error)
+	}
+	rsFleet := getResults(t, fleetSrv, st.ID)
+
+	localSrv := startServer(t, Config{Workers: 2, SampleInterval: 1024})
+	stLocal := submit(t, localSrv, manifest)
+	waitFinished(t, localSrv, stLocal.ID)
+	rsLocal := getResults(t, localSrv, stLocal.ID)
+
+	if rsFleet.Executed != rsFleet.Total || rsLocal.Executed != rsLocal.Total {
+		t.Fatalf("executed fleet %d/%d, local %d/%d; want every item simulated",
+			rsFleet.Executed, rsFleet.Total, rsLocal.Executed, rsLocal.Total)
+	}
+	total := 0
+	for i := range rsLocal.Results {
+		got, want := rsFleet.Results[i].Samples, rsLocal.Results[i].Samples
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("item %d: fleet %d samples, local %d; series differ", i, len(got), len(want))
+		}
+		total += len(got)
+	}
+	if samples != total {
+		t.Errorf("streamed %d sample frames, results carry %d samples", samples, total)
+	}
+}

@@ -62,19 +62,10 @@ func (m *svcMetrics) cyclesPerSecond(now time.Time) float64 {
 
 // handleMetrics serves the daemon's operational metrics in the Prometheus
 // text exposition format (version 0.0.4): jobs by state, queue depth,
-// in-flight simulations against the shared gate, lifetime item counters,
-// and simulation throughput.
+// leased items, lifetime item counters, and simulation throughput.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	states := map[State]int{
-		StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCanceled: 0,
-	}
 	s.mu.Lock()
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		states[j.state]++
-		j.mu.Unlock()
-	}
-	queueDepth := len(s.queue)
+	states := s.countLocked()
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -85,12 +76,12 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
 		fmt.Fprintf(w, "clustersmt_jobs{state=%q} %d\n", st, states[st])
 	}
-	fmt.Fprintf(w, "# HELP clustersmt_job_queue_depth Jobs admitted but not yet picked up by a job worker.\n")
+	fmt.Fprintf(w, "# HELP clustersmt_job_queue_depth Jobs admitted but with no item leased yet.\n")
 	fmt.Fprintf(w, "# TYPE clustersmt_job_queue_depth gauge\n")
-	fmt.Fprintf(w, "clustersmt_job_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "# HELP clustersmt_sims_inflight Simulations currently holding a slot of the shared worker gate.\n")
+	fmt.Fprintf(w, "clustersmt_job_queue_depth %d\n", states[StateQueued])
+	fmt.Fprintf(w, "# HELP clustersmt_sims_inflight Items currently leased, to the in-process loops or to fleet workers.\n")
 	fmt.Fprintf(w, "# TYPE clustersmt_sims_inflight gauge\n")
-	fmt.Fprintf(w, "clustersmt_sims_inflight %d\n", len(s.eng.Gate))
+	fmt.Fprintf(w, "clustersmt_sims_inflight %d\n", s.eng.Queue().Stats().Leased)
 	fmt.Fprintf(w, "# HELP clustersmt_sims_executed_total Fresh simulations completed since the daemon started.\n")
 	fmt.Fprintf(w, "# TYPE clustersmt_sims_executed_total counter\n")
 	fmt.Fprintf(w, "clustersmt_sims_executed_total %d\n", s.met.executed.Load())

@@ -1,19 +1,21 @@
-// Package service embeds the campaign engine in a long-running daemon: a
-// job queue and a bounded, shared worker pool behind a small HTTP API
-// (POST/GET/DELETE /v1/campaigns, see Handler). It is the multi-tenant
-// counterpart of the one-shot `expdriver -manifest` run: submissions are
-// validated with the same strict manifest rules before they enqueue, every
-// job runs through one shared campaign.Engine — so concurrent and repeated
-// submissions deduplicate simulations through the layered result store and
-// the runners' singleflight tables exactly as -resume does across
-// processes — and a running campaign can be cancelled, which propagates
-// context cancellation down into the simulation loop.
+// Package service embeds the campaign engine in a long-running daemon
+// behind a small HTTP API (POST/GET/DELETE /v1/campaigns, see Handler). It
+// is the multi-tenant counterpart of the one-shot `expdriver -manifest`
+// run: submissions are validated with the same strict manifest rules
+// before they are admitted, and every job runs through one shared
+// campaign.Engine, whose lease queue interleaves all jobs' items
+// oldest-first and whose loops bound the simulations running at once. So
+// concurrent and repeated submissions deduplicate simulations through the
+// layered result store and the runners' singleflight tables exactly as
+// -resume does across processes, and a running campaign can be cancelled,
+// which propagates context cancellation down into the simulation loop. In
+// fleet mode the engine is the fleet coordinator's, and remote workers
+// lease the items instead.
 package service
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -46,17 +48,14 @@ type Config struct {
 	// Store is the persistent result layer shared by every job (typically
 	// *store.Store; nil keeps results in memory only).
 	Store experiments.ResultStore
-	// Workers bounds total concurrent simulations across ALL jobs —
-	// concurrent campaigns share this budget through one gate rather than
-	// each bringing its own pool (0 = NumCPU).
+	// Workers bounds total concurrent simulations across ALL jobs: it is
+	// the shared engine's number of lease loops (0 = NumCPU). Ignored in
+	// fleet mode, where the workers are remote.
 	Workers int
-	// JobWorkers bounds concurrently executing campaigns (0 = 2). Queued
-	// jobs beyond it wait in submission order.
-	JobWorkers int
-	// MaxQueue bounds jobs admitted but not yet started — jobs waiting for
-	// a free job worker (0 = 256). Submissions beyond it are rejected with
-	// an error rather than queued unboundedly; running jobs do not count
-	// against it.
+	// MaxQueue bounds jobs admitted but not yet started — jobs none of
+	// whose items has been leased yet (0 = 256). Submissions beyond it are
+	// rejected with an error rather than queued unboundedly; running jobs
+	// do not count against it.
 	MaxQueue int
 	// MaxFinished bounds retained terminal jobs (0 = 512). Beyond it the
 	// oldest finished jobs are evicted — their status and results become
@@ -74,14 +73,13 @@ type Config struct {
 	// or absent SSE consumer costs at most this many retained events per
 	// job; older events are dropped, and the stream marks the gap.
 	EventBuffer int
-	// Fleet, when set, turns the daemon into a fleet coordinator: jobs
-	// execute on the coordinator's distributed dispatch queue (remote
-	// workers lease items over the fleet routes, which Handler mounts)
-	// instead of the in-process engine, and Store should be the same store
-	// handed to the coordinator so the fleet's shared cache and the
-	// daemon's result history are one. Nil keeps the default single-process
-	// mode, byte-identical to previous releases. Fleet jobs carry no
-	// per-item time series (workers do not stream samples).
+	// Fleet, when set, turns the daemon into a fleet coordinator: jobs run
+	// on the coordinator's engine, whose items remote workers lease over
+	// the fleet routes (which Handler mounts), and the service applies its
+	// SampleInterval and Verbose to that engine. Store should be the same
+	// store handed to the coordinator so the fleet's shared cache and the
+	// daemon's result history are one. Nil keeps the default
+	// single-process mode.
 	Fleet *fleet.Coordinator
 }
 
@@ -153,33 +151,23 @@ type Service struct {
 	fleet *fleet.Coordinator
 	met   svcMetrics
 
-	verbose     func(string)
 	maxFinished int
 	eventBuffer int
 
-	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []string
-	nextID  int
-	running int
-	closed  bool
+	mu       sync.Mutex
+	jobs     map[string]*job
+	order    []string
+	nextID   int
+	running  int
+	closed   bool
+	maxQueue int
 
-	queue chan *job
-	wg    sync.WaitGroup
+	wg sync.WaitGroup
 }
 
-// New starts a service: JobWorkers goroutines consuming the job queue, all
-// executing on one shared campaign.Engine whose simulation concurrency is
-// gated at Workers machine-wide.
+// New starts a service on one shared campaign.Engine with Workers lease
+// loops (or, in fleet mode, on the coordinator's engine).
 func New(cfg Config) *Service {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	jobWorkers := cfg.JobWorkers
-	if jobWorkers <= 0 {
-		jobWorkers = 2
-	}
 	maxQueue := cfg.MaxQueue
 	if maxQueue <= 0 {
 		maxQueue = 256
@@ -199,27 +187,19 @@ func New(cfg Config) *Service {
 	case sample == 0:
 		sample = core.DefaultSampleInterval
 	}
-	s := &Service{
-		eng: &campaign.Engine{
-			Store:          cfg.Store,
-			Resume:         true,
-			Workers:        workers,
-			Gate:           make(chan struct{}, workers),
-			Verbose:        cfg.Verbose,
-			SampleInterval: sample,
-		},
+	eng := &campaign.Engine{Store: cfg.Store, Resume: true, Workers: cfg.Workers}
+	if cfg.Fleet != nil {
+		eng = cfg.Fleet.Engine
+	}
+	eng.Verbose, eng.SampleInterval = cfg.Verbose, sample
+	return &Service{
+		eng:         eng,
 		fleet:       cfg.Fleet,
-		verbose:     cfg.Verbose,
 		maxFinished: maxFinished,
 		eventBuffer: eventBuffer,
 		jobs:        make(map[string]*job),
-		queue:       make(chan *job, maxQueue),
+		maxQueue:    maxQueue,
 	}
-	for i := 0; i < jobWorkers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	return s
 }
 
 // Close stops accepting submissions, cancels every unfinished job and waits
@@ -239,14 +219,13 @@ func (s *Service) Close() {
 	for _, j := range jobs {
 		j.cancel()
 	}
-	close(s.queue)
 	s.wg.Wait()
 }
 
-// Submit validates and enqueues a manifest, returning the job's initial
-// status. The manifest must already have passed campaign.Parse; Submit
-// re-expands it so an invalid axis combination is rejected here, before
-// anything enqueues.
+// Submit validates and admits a manifest, returning the job's initial
+// status; the job's items go on the engine's queue at once. The manifest
+// must already have passed campaign.Parse; Submit re-expands it so an
+// invalid axis combination is rejected here, before anything enqueues.
 func (s *Service) Submit(m *campaign.Manifest) (*JobStatus, error) {
 	items, err := m.Expand()
 	if err != nil {
@@ -278,17 +257,32 @@ func (s *Service) Submit(m *campaign.Manifest) (*JobStatus, error) {
 	if m.Name == "" {
 		m.Name = j.id
 	}
-	select {
-	case s.queue <- j:
-	default:
+	if queued := s.countLocked()[StateQueued]; queued >= s.maxQueue {
 		s.mu.Unlock()
 		cancel()
-		return nil, fmt.Errorf("service: job queue full (%d pending)", cap(s.queue))
+		return nil, fmt.Errorf("service: job queue full (%d pending)", queued)
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
+	s.running++
+	s.wg.Add(1)
 	s.mu.Unlock()
+	//smtlint:allow detcheck: the job's timestamps are status metadata; RunCtx receives only its manifest and context
+	go s.runJob(j)
 	return j.status(false), nil
+}
+
+// countLocked tallies the retained jobs by state. Callers hold s.mu.
+func (s *Service) countLocked() map[State]int {
+	states := map[State]int{
+		StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCanceled: 0,
+	}
+	for _, j := range s.jobs {
+		j.mu.Lock()
+		states[j.state]++
+		j.mu.Unlock()
+	}
+	return states
 }
 
 // Status returns a job's progress; items requests the per-item breakdown.
@@ -408,56 +402,17 @@ func (s *Service) prune() {
 	s.order = keep
 }
 
-// worker consumes the job queue until Close.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for j := range s.queue {
-		s.mu.Lock()
-		s.running++
-		s.mu.Unlock()
-		s.runJob(j)
-		s.mu.Lock()
-		s.running--
-		idle := s.running == 0
-		s.mu.Unlock()
-		s.prune()
-		// When the daemon goes idle, drop the engine's in-memory caches
-		// (trace memos, shared MemStore, runner tables): memory stays
-		// bounded by one busy period, and the persistent store still
-		// answers resubmissions. Without a persistent store the memory
-		// layer IS the result history, so it is kept.
-		if idle && s.eng.Store != nil {
-			s.eng.Recycle()
-		}
-	}
-}
-
-// runJob executes one dequeued job on the shared engine.
+// runJob executes one admitted job on the shared engine, then evicts old
+// finished jobs.
 func (s *Service) runJob(j *job) {
-	j.mu.Lock()
-	if j.state != StateQueued { // canceled while waiting in the queue
-		j.mu.Unlock()
-		return
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-
-	// Both executors share one signature and one progress/cancellation
-	// contract over the campaign Plan; fleet mode swaps where the
-	// simulations run, not what the job observes.
-	runCtx := s.eng.RunCtx
-	if s.fleet != nil {
-		runCtx = s.fleet.RunCtx
-	}
-	rs, err := runCtx(j.ctx, j.manifest, func(ev campaign.ItemEvent) {
+	defer s.wg.Done()
+	rs, err := s.eng.RunCtx(j.ctx, j.manifest, func(ev campaign.ItemEvent) {
 		s.met.onItem(ev)
 		j.onEvent(ev)
 		j.publish(ev)
 	})
 
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	switch {
 	case j.ctx.Err() != nil:
 		j.finish(StateCanceled, rs, "canceled")
@@ -467,6 +422,21 @@ func (s *Service) runJob(j *job) {
 		j.finish(StateFailed, rs, fmt.Sprintf("%d of %d items failed", rs.Failed, rs.Total))
 	default:
 		j.finish(StateDone, rs, "")
+	}
+	j.mu.Unlock()
+
+	s.mu.Lock()
+	s.running--
+	idle := s.running == 0
+	s.mu.Unlock()
+	s.prune()
+	// When the daemon goes idle, drop the engine's in-memory caches
+	// (trace memos, shared MemStore, runner tables): memory stays bounded
+	// by one busy period, and the persistent store still answers
+	// resubmissions. Without a persistent store the memory layer IS the
+	// result history, so it is kept.
+	if idle && s.eng.Store != nil {
+		s.eng.Recycle()
 	}
 }
 
@@ -482,6 +452,10 @@ func (j *job) onEvent(ev campaign.ItemEvent) {
 	switch {
 	case ev.Started:
 		it.State = StateRunning
+		if j.state == StateQueued {
+			j.state = StateRunning
+			j.started = time.Now()
+		}
 	case ev.Result != nil:
 		j.doneCount++
 		if ev.Result.Error != "" {

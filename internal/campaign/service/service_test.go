@@ -175,7 +175,7 @@ func TestSubmitStatusResults(t *testing.T) {
 // spec exactly once between them — the shared engine's store layer and
 // singleflight tables answer for the overlap regardless of interleaving.
 func TestConcurrentOverlapSharesStore(t *testing.T) {
-	srv := startServer(t, Config{Workers: 2, JobWorkers: 2})
+	srv := startServer(t, Config{Workers: 2})
 	a := submit(t, srv, `{
 		"workloads": ["dh.ilp.2.1", "dh.ilp.2.2"],
 		"schemes": ["icount"],
@@ -230,7 +230,7 @@ func TestResubmitAllStoreHits(t *testing.T) {
 // TestCancelStopsRunning: DELETE on a running job must stop it before it
 // completes all items (cancellation propagates into the simulation loop).
 func TestCancelStopsRunning(t *testing.T) {
-	srv := startServer(t, Config{Workers: 1, JobWorkers: 1})
+	srv := startServer(t, Config{Workers: 1})
 	st := submit(t, srv, `{
 		"categories": ["dh"],
 		"schemes": ["icount", "cssp", "cdprf"],
@@ -386,7 +386,7 @@ func TestSubmitQueueFull(t *testing.T) {
 	// A full-pool campaign occupies the single job worker for far longer
 	// than the test runs (Close cancels it on cleanup); the queue then
 	// holds exactly one more job.
-	srv := startServer(t, Config{Workers: 1, JobWorkers: 1, MaxQueue: 1})
+	srv := startServer(t, Config{Workers: 1, MaxQueue: 1})
 	blocker := submit(t, srv, `{"schemes": ["icount"], "trace_lens": [60000]}`)
 	deadline := time.Now().Add(time.Minute)
 	for getStatus(t, srv, blocker.ID).State != StateRunning {
@@ -417,7 +417,7 @@ func TestSubmitQueueFull(t *testing.T) {
 // TestFinishedJobEviction: beyond MaxFinished the oldest terminal jobs are
 // evicted (404), bounding daemon memory, while newer ones survive.
 func TestFinishedJobEviction(t *testing.T) {
-	srv := startServer(t, Config{Workers: 1, JobWorkers: 1, MaxFinished: 1})
+	srv := startServer(t, Config{Workers: 1, MaxFinished: 1})
 	manifest := `{"workloads": ["dh.ilp.2.1"], "schemes": ["icount"], "trace_lens": [1000]}`
 	var ids []string
 	for i := 0; i < 3; i++ {

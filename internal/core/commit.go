@@ -64,10 +64,6 @@ func (p *Processor) commit() {
 				if !p.mem.TryWritePort(p.now) {
 					break
 				}
-				if debugPre != nil {
-					//smtlint:allow debug hook; compiled out unless debugging
-					debugPre("store", e.Uop.Addr, false, p.mem.ProbeL2(e.Uop.Addr), p.now)
-				}
 				p.mem.Access(e.Uop.Addr, p.now)
 			}
 			ts.rob.PopHead()

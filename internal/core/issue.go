@@ -9,12 +9,6 @@ import (
 	"clustersmt/internal/metrics"
 )
 
-// debugMiss, when set by a test, observes every load L2 miss.
-var debugMiss func(addr uint64, wrongPath bool, now int64)
-
-// debugPre, when set by a test, observes every memory access before it runs.
-var debugPre func(kind string, addr uint64, wrongPath bool, inL2 bool, now int64)
-
 // imbClass maps a uop class onto the Fig. 5 grouping.
 //
 //smtlint:noalloc
@@ -96,16 +90,8 @@ func (p *Processor) executeLoad(e *frontend.ROBEntry) int64 {
 		// Store-to-load forwarding: AGU + one bypass cycle.
 		return p.now + 2
 	}
-	if debugPre != nil {
-		//smtlint:allow debug hook; compiled out unless debugging
-		debugPre("load", u.Addr, e.WrongPath, p.mem.ProbeL2(u.Addr), p.now)
-	}
 	res := p.mem.Access(u.Addr, p.now)
 	if res.Level == cachesim.MemHit {
-		if debugMiss != nil {
-			//smtlint:allow debug hook; compiled out unless debugging
-			debugMiss(u.Addr, e.WrongPath, p.now)
-		}
 		e.MissedL2 = true
 		e.MissNotified = true
 		if !e.WrongPath {

@@ -152,13 +152,6 @@ type Runner struct {
 	// -link-latency/-mem-latency flags land here). The zero value is the
 	// Table 1 machine. Set it before the first Run/CacheKey call.
 	Shape MachineShape
-	// Gate, when non-nil, is acquired around every actual simulation (not
-	// store hits). Sharing one gate between runners bounds total simulation
-	// concurrency across them — the campaign service uses this so that
-	// concurrent jobs share one machine-wide worker budget instead of each
-	// bringing its own Workers-sized pool. Nil means Workers alone bounds
-	// parallelism.
-	Gate chan struct{}
 	// SampleInterval is the time-series observation window in cycles for
 	// runs requested with a Progress.Sample callback (see
 	// core.Processor.SetSampler for rounding; <= 0 selects the core
@@ -170,8 +163,8 @@ type Runner struct {
 	SampleInterval int64
 
 	mu       sync.Mutex
-	inflight map[string]*flight
-	keys     map[string]string // spec key -> content-addressed key
+	inflight map[string]*flight // by content-addressed key
+	keys     map[string]string  // spec key -> content-addressed key
 
 	// executed counts actual simulations (store hits excluded).
 	executed atomic.Int64
@@ -414,33 +407,41 @@ func (r *Runner) RunCtx(ctx context.Context, s Spec) (*metrics.Stats, error) {
 	return st, err
 }
 
-// run is the shared execution core. The executed return reports whether
-// THIS call ran the simulation: false for store hits and for singleflight
-// waiters (the flight owner reports true). Summing executed across
-// arbitrarily many concurrent callers therefore counts each distinct spec
-// exactly once — the property the campaign engine's Executed tally and the
-// service's cross-job deduplication test rely on.
+// run keys s and runs it: RunKeyed for callers without a key in hand.
+func (r *Runner) run(ctx context.Context, s Spec, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error) {
+	return r.RunKeyed(ctx, s, r.CacheKey(s), onSample)
+}
+
+// RunKeyed is the shared execution core, for a spec whose key the caller
+// already holds: ck must be r.CacheKey(s). The campaign engine keys each
+// item once, for its result row, and runs it under that key. A non-nil
+// onSample receives the run's time series (see SampleInterval).
+//
+// The executed return reports whether THIS call ran the simulation: false
+// for store hits and for singleflight waiters (the flight owner reports
+// true). Summing executed across arbitrarily many concurrent callers
+// therefore counts each distinct spec exactly once — the property the
+// campaign engine's Executed tally and the service's cross-job
+// deduplication test rely on.
 //
 // A cancellation error from the flight owner does NOT propagate to
 // waiters whose own context is still live: on a shared engine the owner
 // belongs to a different campaign, and its DELETE must not fail
 // overlapping items of uncancelled jobs — the waiter retries (typically
 // becoming the new owner) instead.
-func (r *Runner) run(ctx context.Context, s Spec, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error) {
+func (r *Runner) RunKeyed(ctx context.Context, s Spec, ck string, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error) {
 	for {
-		st, executed, err, retry := r.runOnce(ctx, s, onSample)
+		st, executed, err, retry := r.runOnce(ctx, s, ck, onSample)
 		if !retry {
 			return st, executed, err
 		}
 	}
 }
 
-func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error, retry bool) {
+func (r *Runner) runOnce(ctx context.Context, s Spec, ck string, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error, retry bool) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err, false
 	}
-	k := s.key()
-	ck := r.CacheKey(s)
 	r.mu.Lock()
 	if r.inflight == nil {
 		r.inflight = make(map[string]*flight)
@@ -449,7 +450,7 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Samp
 		r.Store = NewMemStore()
 	}
 	store := r.Store
-	if f, ok := r.inflight[k]; ok {
+	if f, ok := r.inflight[ck]; ok {
 		r.mu.Unlock()
 		select {
 		case <-f.done:
@@ -469,26 +470,8 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Samp
 		return st, false, nil, false
 	}
 	f := &flight{done: make(chan struct{})}
-	r.inflight[k] = f
+	r.inflight[ck] = f
 	r.mu.Unlock()
-
-	finish := func() {
-		r.mu.Lock()
-		delete(r.inflight, k)
-		r.mu.Unlock()
-		close(f.done)
-	}
-
-	if r.Gate != nil {
-		select {
-		case r.Gate <- struct{}{}:
-			defer func() { <-r.Gate }()
-		case <-ctx.Done():
-			f.err = ctx.Err()
-			finish()
-			return nil, false, f.err, false
-		}
-	}
 
 	f.st, f.err = r.execute(ctx, s, onSample)
 
@@ -496,9 +479,13 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Samp
 	if f.err == nil {
 		putErr = store.Put(ck, f.st)
 	}
-	finish()
+	r.mu.Lock()
+	delete(r.inflight, ck)
+	r.mu.Unlock()
+	close(f.done)
 
 	if r.Verbose != nil {
+		k := s.key()
 		if f.err == nil {
 			r.Verbose(fmt.Sprintf("%-60s ipc=%.3f", k, f.st.IPC()))
 		}

@@ -187,3 +187,31 @@ func TestRunnerZeroValueUsable(t *testing.T) {
 		t.Error("zero-value runner failed to memoize")
 	}
 }
+
+// TestStoreHitKeysOnce: a store hit allocates no more than keying its spec
+// does. Each key computation marshals and hashes every thread profile, so
+// a run that keyed its spec twice (once for the memo, again for the
+// singleflight table) would double the allocations of every recalled item.
+func TestStoreHitKeysOnce(t *testing.T) {
+	r := NewRunner(1000)
+	w, err := workload.Find("dh.ilp.2.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := iqStudySpec(w, "icount", 32)
+	if err := r.Store.Put(r.CacheKey(spec), &metrics.Stats{Cycles: 1}); err != nil {
+		t.Fatal(err)
+	}
+	keying := testing.AllocsPerRun(100, func() { r.CacheKey(spec) })
+	hit := testing.AllocsPerRun(100, func() {
+		if _, err := r.Run(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hit > keying {
+		t.Fatalf("store-hit Run = %v allocs, keying alone = %v: the run keys its spec more than once", hit, keying)
+	}
+	if r.Executed() != 0 {
+		t.Fatalf("store hit executed %d simulations", r.Executed())
+	}
+}

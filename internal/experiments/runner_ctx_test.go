@@ -36,9 +36,10 @@ func TestWaiterSurvivesOwnerCancel(t *testing.T) {
 	// Wait for the owner's flight to register so the second call is a
 	// waiter, not a second owner.
 	deadline := time.Now().Add(10 * time.Second)
+	key := r.CacheKey(spec)
 	for {
 		r.mu.Lock()
-		_, inflight := r.inflight[spec.key()]
+		_, inflight := r.inflight[key]
 		r.mu.Unlock()
 		if inflight {
 			break

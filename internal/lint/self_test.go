@@ -10,7 +10,6 @@ import (
 	"clustersmt/internal/lint/errflow"
 	"clustersmt/internal/lint/lockcheck"
 	"clustersmt/internal/lint/noalloc"
-	"clustersmt/internal/lint/registryref"
 )
 
 // all mirrors cmd/smtlint's analyzer list (the command package cannot be
@@ -19,7 +18,6 @@ var all = []*lint.Analyzer{
 	noalloc.Analyzer,
 	confighash.Analyzer,
 	lockcheck.Analyzer,
-	registryref.Analyzer,
 	detcheck.Analyzer,
 	ctxflow.Analyzer,
 	errflow.Analyzer,

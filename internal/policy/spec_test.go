@@ -274,10 +274,13 @@ func TestComponentRegistryDisjoint(t *testing.T) {
 				t.Errorf("component %q registered as both %s and %s", c.Name, prev, kind)
 			}
 			seen[c.Name] = kind
-			if c.Ref == "" || c.Desc == "" {
-				t.Errorf("component %q missing ref/desc", c.Name)
+			if c.Name == "" || c.Ref == "" || c.Desc == "" {
+				t.Errorf("component %q missing name/ref/desc", c.Name)
 			}
 			for _, p := range c.Params {
+				if p.Name == "" || p.Desc == "" {
+					t.Errorf("component %q param %q missing name/desc", c.Name, p.Name)
+				}
 				if p.Min > p.Default || p.Default > p.Max {
 					t.Errorf("component %q param %q: default %v outside [%v, %v]", c.Name, p.Name, p.Default, p.Min, p.Max)
 				}
@@ -310,6 +313,9 @@ func TestSchemeInfos(t *testing.T) {
 		if in.Spec != sch.Spec.Format() || in.Selector != sch.Spec.Sel.Name ||
 			in.IQ != sch.Spec.IQ.Name || in.RF != sch.Spec.RF.Name {
 			t.Errorf("info %+v disagrees with registry", in)
+		}
+		if sch.Ref == "" || sch.Desc == "" || in.Ref != sch.Ref || in.Desc != sch.Desc {
+			t.Errorf("scheme %q: ref %q / desc %q missing or not listed", in.Name, sch.Ref, sch.Desc)
 		}
 	}
 	set := Components()
